@@ -39,8 +39,8 @@ type codedInst struct {
 	tx *station.Transmitter
 }
 
-func setupCoded(e *env, rep int) (instance, error) {
-	ds := dataset.Uniform(codedN, codedOrder, datasetSeed(rep))
+func setupCoded(e *env, dsSeed int64) (instance, error) {
+	ds := dataset.Uniform(codedN, codedOrder, dsSeed)
 	x, err := dsi.Build(ds, dsi.Config{Capacity: 64, ObjectBytes: codedObjBytes})
 	if err != nil {
 		return nil, err

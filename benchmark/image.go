@@ -53,8 +53,7 @@ type imageInst struct {
 // dataset checksum and a seeded sample of the transmitter's slots —
 // and drops everything else before the window, so the window's heap is
 // the out-of-core build's own.
-func setupImage(e *env, rep int) (instance, error) {
-	seed := datasetSeed(rep)
+func setupImage(e *env, seed int64) (instance, error) {
 	ds := dataset.Uniform(imageN, imageOrder, seed)
 	x, err := dsi.Build(ds, imageCfg)
 	if err != nil {
@@ -174,16 +173,30 @@ func (in *imageInst) measure(traced bool) (*result, error) {
 		tr = newTracer(0, time.Now())
 	}
 	var passes []imagePass
+	res := &result{}
 	start := time.Now()
-	for len(passes) == 0 || time.Since(start) < in.e.window() {
+	for tried := 0; tried == 0 || time.Since(start) < in.e.window(); tried++ {
 		in.e.cal.burst(calBurst)
-		p, err := in.pass(tr)
+		var p imagePass
+		var err error
+		if panics(func() { p, err = in.pass(tr) }) {
+			// A pass the program panicked in fails every check it
+			// would have made and is left out of the figures.
+			if tr != nil {
+				tr.abort()
+			}
+			res.attempted += 1 + imageSamples
+			res.failed += 1 + imageSamples
+			continue
+		}
 		if err != nil {
 			return nil, err
 		}
 		passes = append(passes, p)
 	}
-	res := &result{}
+	if len(passes) == 0 {
+		return res, nil
+	}
 	var rates, builds, opens, pkts, p50s, tails []float64
 	for _, p := range passes {
 		res.attempted += p.checked

@@ -23,7 +23,7 @@ import (
 // env is what every workload is given: the seed its inputs derive
 // from, the measured duration, the worker count, a directory for the
 // files it writes, and the run's calibration, which the workload
-// samples beside its CPU-bound work.
+// samples between its CPU-bound phases.
 type env struct {
 	seed    int64
 	seconds float64
@@ -34,14 +34,17 @@ type env struct {
 
 func (e *env) window() time.Duration { return time.Duration(e.seconds * float64(time.Second)) }
 
-// datasetSeed derives the dataset seed of one set-up repetition. Each
-// repetition builds a different dataset so that no cache (netrecv's
-// catalog cache in particular) makes a later set-up cheaper than the
-// first one a user pays for.
-// The measured instance is always the last repetition's, so its
-// dataset is the same in every run: the run seed varies the queries
+// datasetSeed derives the dataset seed of set-up repetition rep of
+// reps. Each repetition builds a different dataset so that no cache
+// (netrecv's catalog cache in particular) makes a later set-up cheaper
+// than the first one a user pays for.
+// The measured instance is always the last repetition's, which builds
+// the dataset of seed measuredDataset however many repetitions run, so
+// the data is the same in every run: the run seed varies the queries
 // and tune-ins, not the data.
-func datasetSeed(rep int) int64 { return int64(rep) + 1 }
+func datasetSeed(rep, reps int) int64 { return measuredDataset + int64(reps-1-rep) }
+
+const measuredDataset = 5
 
 // named is one metric as printed in the run's table.
 type named struct {
@@ -77,14 +80,18 @@ type instance interface {
 
 type workload struct {
 	name  string
-	setup func(e *env, rep int) (instance, error)
+	setup func(e *env, dsSeed int64) (instance, error)
+	// reps is how many times a run sets the workload up; setup_s is the
+	// median. net's set-up takes some 20 ms, so it repeats more often
+	// for a median as steady as the others'.
+	reps int
 }
 
 var workloads = []workload{
-	{"sim", setupSim},
-	{"coded", setupCoded},
-	{"net", setupNet},
-	{"image", setupImage},
+	{"sim", setupSim, 5},
+	{"coded", setupCoded, 5},
+	{"net", setupNet, 25},
+	{"image", setupImage, 5},
 }
 
 // endToEnd lists the metrics every untraced run reports, whatever the
@@ -139,10 +146,6 @@ var perLayer = []struct{ name, unit string }{
 	{"trace.overhead_pct", "%"},
 }
 
-// setupReps is how many times a run sets its workload up; setup_s is
-// the median.
-const setupReps = 5
-
 func main() {
 	var (
 		name    = flag.String("workload", "", "workload to run: sim, coded, net or image")
@@ -179,8 +182,8 @@ func run(name string, seed int64, seconds float64, traced bool, out string) erro
 	e := &env{seed: seed, seconds: seconds, workers: nproc, out: out, cal: &calibration{}}
 
 	var inst instance
-	setups := make([]float64, 0, setupReps)
-	for rep := 0; rep < setupReps; rep++ {
+	setups := make([]float64, 0, w.reps)
+	for rep := 0; rep < w.reps; rep++ {
 		if inst != nil {
 			inst.close()
 		}
@@ -188,7 +191,7 @@ func run(name string, seed int64, seconds float64, traced bool, out string) erro
 		e.cal.burst(calBurst)
 		t := time.Now()
 		var err error
-		if inst, err = w.setup(e, rep); err != nil {
+		if inst, err = w.setup(e, datasetSeed(rep, w.reps)); err != nil {
 			return fmt.Errorf("%s set-up: %w", name, err)
 		}
 		setups = append(setups, time.Since(t).Seconds())
@@ -206,7 +209,7 @@ func run(name string, seed int64, seconds float64, traced bool, out string) erro
 		{"heap_peak_mb", heap, "MB"},
 	}, res.named...))
 	// CPU-bound figures at reference speed (calib.go).
-	slow, samples := e.cal.slowdown()
+	slow, core, mem, samples := e.cal.slowdown()
 	opSlow := slow
 	if res.airBound {
 		opSlow = 1
@@ -219,8 +222,8 @@ func run(name string, seed int64, seconds float64, traced bool, out string) erro
 	for i, m := range endToEnd {
 		e2e[i] = named{m.name, values[m.name], m.unit}
 	}
-	printNamed(fmt.Sprintf("end to end (measured set-up %.4f s; at reference speed, slowdown %.4f over %d samples)",
-		median(setups), slow, samples), e2e)
+	printNamed(fmt.Sprintf("end to end (measured set-up %.4f s; at reference speed, slowdown %.4f (core %.4f, cache %.4f) over %d samples)",
+		median(setups), slow, core, mem, samples), e2e)
 
 	metrics := map[string]any{}
 	attempted, failed := res.attempted, res.failed
@@ -242,7 +245,7 @@ func run(name string, seed int64, seconds float64, traced bool, out string) erro
 		layer["proc.cpu_busy_share"] = twin.cpuShare
 		layer["go.gc_cycles"] = float64(twin.gcCycles)
 		layer["heap_peak_mb"] = heap // the untraced window's
-		layer["trace.overhead_pct"] = 100 * (tres.opP50/res.opP50 - 1)
+		layer["trace.overhead_pct"] = overheadPct(res, tres)
 		var rows []named
 		for _, pl := range perLayer {
 			v := layer[pl.name]
@@ -259,7 +262,11 @@ func run(name string, seed int64, seconds float64, traced bool, out string) erro
 			return fmt.Errorf("%s reports undeclared per-layer metrics %v", name, keys)
 		}
 		printNamed("per layer (traced window)", rows)
-		fmt.Printf("  traced %s p50 %.2f us vs untraced %.2f us\n", name, tres.opP50, res.opP50)
+		if res.airBound {
+			fmt.Printf("  traced %s work %.2f /s vs untraced %.2f /s\n", name, tres.workPerS, res.workPerS)
+		} else {
+			fmt.Printf("  traced %s p50 %.2f us vs untraced %.2f us\n", name, tres.opP50, res.opP50)
+		}
 		path := filepath.Join(out, fmt.Sprintf("spans-%s-seed%d.jsonl", name, seed))
 		if err := writeSpans(path, tres.trs); err != nil {
 			return fmt.Errorf("span dump: %w", err)
@@ -277,6 +284,17 @@ func run(name string, seed int64, seconds float64, traced bool, out string) erro
 	}
 	fmt.Println(string(line))
 	return nil
+}
+
+// overheadPct is how much slower the traced window ran than the
+// untraced one, in percent, on the workload's CPU-bound figure: the
+// median operation time, or the throughput where operations wait on a
+// paced clock.
+func overheadPct(untraced, traced *result) float64 {
+	if untraced.airBound {
+		return 100 * (untraced.workPerS/traced.workPerS - 1)
+	}
+	return 100 * (traced.opP50/untraced.opP50 - 1)
 }
 
 // measureWindow runs one window with the heap sampled and the process

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dsi/internal/broadcast"
@@ -23,16 +24,25 @@ import (
 
 // The net workload: the station cmd/dsistation runs (a 4-channel split
 // MultiTransmitter behind netsrv, with a Registry) served on loopback.
-// Phase A measures capacity: the station runs unpaced while one HTTP
-// subscriber drains it. Phase B measures latency: the station is paced
-// at netRate while one HTTP and one UDP receiver each run a closed loop
-// of queries.
+// Phase A measures capacity: a station of dsistation's default size
+// runs unpaced while one HTTP subscriber drains it. Phase B measures
+// latency: a station over a small dataset whose air repeats every few
+// hundred slots is paced at netRate while one HTTP and one UDP receiver
+// each run a closed loop of queries.
 const (
-	// netN objects fill every frame of the split layout evenly, so all
-	// channels share one short hyperperiod (see hyperperiod).
+	// Phase A's air is dsistation's default build: 10^4 objects at
+	// order 8 with the index's default object size (1 KB), so the
+	// station sweeps a cycle far larger than the processor's caches.
+	capN        = 10000
+	capOrder    = 8
+	capObjBytes = 0 // dsi.Build's default, as dsistation's -objbytes 0
+	// Phase B's netN objects fill every frame of the split layout
+	// evenly, so all channels share one short hyperperiod (see
+	// hyperperiod) and each query's tune-in repeats exactly.
 	netN          = 540
 	netOrder      = 8
 	netObjBytes   = 256
+	netCapacity   = 64
 	netChannels   = 4
 	netSwitch     = 2
 	netCtrl       = 256
@@ -41,16 +51,47 @@ const (
 	netSubWindows = 21    // phase A rate samples; the rate is their median
 	netMinQueries = 200
 	netClockEvery = time.Millisecond
-	netCalBurst   = 3 // calibration samples per processor before each phase A sub-window
+	netCalBurst   = 3       // calibration samples per processor before each phase A sub-window
+	netAllocScan  = 1 << 16 // PacketAt calls of the allocation scan
 )
+
+// air is one broadcast as cmd/dsistation builds it: a uniform dataset,
+// its index, the 4-channel split layout, the transmitter and the
+// catalog document the station serves.
+type air struct {
+	ds   *dataset.Dataset
+	x    *dsi.Index
+	lay  *dsi.Layout
+	tx   *station.MultiTransmitter
+	meta wire.StationMeta
+}
+
+func buildAir(n int, order uint, objBytes int, seed int64) (*air, error) {
+	ds := dataset.Uniform(n, order, seed)
+	x, err := dsi.Build(ds, dsi.Config{Capacity: netCapacity, Segments: 1, ObjectBytes: objBytes, ReserveMCPtr: true})
+	if err != nil {
+		return nil, err
+	}
+	lay, err := dsi.NewLayout(x, dsi.MultiConfig{Channels: netChannels, Scheduler: dsi.SchedSplit, SwitchSlots: netSwitch})
+	if err != nil {
+		return nil, err
+	}
+	tx, err := station.NewMultiTransmitter(lay)
+	if err != nil {
+		return nil, err
+	}
+	return &air{ds: ds, x: x, lay: lay, tx: tx, meta: wire.StationMeta{
+		Dataset:  wire.StationDataset{Kind: "uniform", N: n, Order: order, Seed: seed, Sum: ds.Checksum()},
+		Capacity: netCapacity, Segments: 1, ObjectBytes: objBytes, ReserveMCPtr: true,
+		Channels: lay.Channels(), Scheduler: "split", SwitchSlots: netSwitch,
+		ShardBounds: lay.ShardBounds(),
+	}}, nil
+}
 
 type netInst struct {
 	e      *env
-	ds     *dataset.Dataset
-	x      *dsi.Index
-	lay    *dsi.Layout
-	tx     *station.MultiTransmitter
-	meta   wire.StationMeta
+	big    *air // phase A
+	q      *air // phase B
 	hyper  int64
 	cat    *netrecv.Catalog
 	bootMs float64
@@ -74,32 +115,20 @@ func hyperperiod(lay *dsi.Layout) int64 {
 	return h
 }
 
-func setupNet(e *env, rep int) (instance, error) {
-	seed := datasetSeed(rep)
-	ds := dataset.Uniform(netN, netOrder, seed)
-	x, err := dsi.Build(ds, dsi.Config{Capacity: 64, Segments: 1, ObjectBytes: netObjBytes, ReserveMCPtr: true})
+func setupNet(e *env, seed int64) (instance, error) {
+	big, err := buildAir(capN, capOrder, capObjBytes, seed)
 	if err != nil {
 		return nil, err
 	}
-	lay, err := dsi.NewLayout(x, dsi.MultiConfig{Channels: netChannels, Scheduler: dsi.SchedSplit, SwitchSlots: netSwitch})
+	q, err := buildAir(netN, netOrder, netObjBytes, seed)
 	if err != nil {
 		return nil, err
 	}
-	tx, err := station.NewMultiTransmitter(lay)
-	if err != nil {
-		return nil, err
-	}
-	n := &netInst{e: e, ds: ds, x: x, lay: lay, tx: tx, hyper: hyperperiod(lay)}
-	if n.hyper > 4*int64(lay.ProbeCycle()) {
+	n := &netInst{e: e, big: big, q: q, hyper: hyperperiod(q.lay)}
+	if n.hyper > 4*int64(q.lay.ProbeCycle()) {
 		return nil, fmt.Errorf("split layout hyperperiod %d slots is too long to tune in by phase", n.hyper)
 	}
-	n.meta = wire.StationMeta{
-		Dataset:  wire.StationDataset{Kind: "uniform", N: netN, Order: netOrder, Seed: seed, Sum: ds.Checksum()},
-		Capacity: 64, Segments: 1, ObjectBytes: netObjBytes, ReserveMCPtr: true,
-		Channels: lay.Channels(), Scheduler: "split", SwitchSlots: netSwitch,
-		ShardBounds: lay.ShardBounds(),
-	}
-	st, err := n.startStation(tx, netRate, nil)
+	st, err := startStation(q, q.tx, netRate, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -128,11 +157,14 @@ type netStation struct {
 	t0      time.Time
 }
 
-func (n *netInst) startStation(src station.PacketSource, rate int, tick func(int64)) (*netStation, error) {
+// startStation serves src, the transmitter of a or a decorator of it,
+// at rate slots/s (unpaced and lossless at 0); its clock starts with
+// run.
+func startStation(a *air, src station.PacketSource, rate int, tick func(int64)) (*netStation, error) {
 	st := &netStation{reg: obs.NewRegistry()}
 	var err error
 	st.srv, err = netsrv.New(netsrv.Config{
-		Source: src, Layout: n.lay, Meta: n.meta,
+		Source: src, Layout: a.lay, Meta: a.meta,
 		SlotsPerSec: rate, CtrlEvery: netCtrl, Registry: st.reg, Tick: tick,
 		Block: rate <= 0,
 	})
@@ -204,12 +236,30 @@ func (f *flushClock) stop() {
 	}
 }
 
+// runFor runs the station's clock for d and stops it again. It
+// returns the slots the station emitted per second.
+func (st *netStation) runFor(d time.Duration) float64 {
+	ctx, stop := context.WithCancel(st.ctx)
+	ran := make(chan struct{})
+	ts, as := time.Now(), st.srv.Now()
+	go func() {
+		defer close(ran)
+		_ = st.srv.Run(ctx) // returns only when the context ends
+	}()
+	time.Sleep(d)
+	rate := float64(st.srv.Now()-as) / time.Since(ts).Seconds()
+	stop()
+	<-ran
+	return rate
+}
+
 // drain is a plain HTTP subscriber: it reads the station's frame
 // stream and discards it, so the station's own cost sets phase A's
 // rate.
 type drain struct {
 	body io.ReadCloser
 	done chan struct{}
+	read atomic.Int64 // bytes read so far
 }
 
 func subscribe(base string) (*drain, error) {
@@ -224,9 +274,28 @@ func subscribe(base string) (*drain, error) {
 	d := &drain{body: resp.Body, done: make(chan struct{})}
 	go func() {
 		defer close(d.done)
-		_, _ = io.Copy(io.Discard, resp.Body) // ends when close shuts the body
+		_, _ = io.Copy(d, resp.Body) // ends when close shuts the body
 	}()
 	return d, nil
+}
+
+// Write counts and discards what the subscriber reads.
+func (d *drain) Write(p []byte) (int, error) {
+	d.read.Add(int64(len(p)))
+	return len(p), nil
+}
+
+// settle waits until the subscriber has read what a stopped station
+// queued for it: until its byte count holds still for a millisecond.
+func (d *drain) settle() {
+	for last := int64(-1); ; {
+		n := d.read.Load()
+		if n == last {
+			return
+		}
+		last = n
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func (d *drain) close() {
@@ -234,13 +303,13 @@ func (d *drain) close() {
 	<-d.done
 }
 
-// source returns the transmitter as handed to a station: decorated
+// source returns a's transmitter as handed to a station: decorated
 // with spans on tr when traced.
-func (n *netInst) source(tr *tracer) (station.PacketSource, error) {
+func (a *air) source(tr *tracer) (station.PacketSource, error) {
 	if tr == nil {
-		return n.tx, nil
+		return a.tx, nil
 	}
-	return wrapSrc(n.tx, tr)
+	return wrapSrc(a.tx, tr)
 }
 
 // capacity is phase A: the unpaced station's slot rate while one HTTP
@@ -266,16 +335,15 @@ func (n *netInst) capacityPhase(d time.Duration, traced bool, epoch time.Time, t
 		clk = &flushClock{tr: tr}
 		tick = clk.tick
 	}
-	src, err := n.source(tr)
+	src, err := n.big.source(tr)
 	if err != nil {
 		return nil, err
 	}
-	st, err := n.startStation(src, 0, tick)
+	st, err := startStation(n.big, src, 0, tick)
 	if err != nil {
 		return nil, err
 	}
 	defer st.close()
-	st.run()
 	sub, err := subscribe(st.base)
 	if err != nil {
 		return nil, err
@@ -286,18 +354,21 @@ func (n *netInst) capacityPhase(d time.Duration, traced bool, epoch time.Time, t
 	rates := make([]float64, 0, netSubWindows)
 	reg0 := st.reg.Snapshot()
 	for i := 0; i < netSubWindows; i++ {
-		// Calibration samples between the sub-windows run beside the
-		// station, whose load is the same in every run.
+		// The station is stopped and its subscriber idle while the
+		// calibration kernel runs, so the program's load never
+		// reaches the kernel.
+		sub.settle()
 		n.e.cal.burst(netCalBurst)
-		ts, as := time.Now(), st.srv.Now()
-		time.Sleep(d / netSubWindows)
-		rates = append(rates, float64(st.srv.Now()-as)/time.Since(ts).Seconds())
+		rates = append(rates, st.runFor(d/netSubWindows))
+		if clk != nil {
+			clk.stop() // the stop is no flush interval
+		}
 	}
+	sub.settle()
 	reg1 := st.reg.Snapshot()
 	sub.close()
 	st.close()
 	if clk != nil {
-		clk.stop()
 		c.flushP50, c.flushP99 = quantile(clk.gaps, 0.5), quantile(clk.gaps, 0.99)
 		if a := tr.aggs[layerTx]; a != nil {
 			c.txAgg = *a
@@ -313,7 +384,7 @@ func (n *netInst) capacityPhase(d time.Duration, traced bool, epoch time.Time, t
 	}
 	frames = delta(`station_net_frames_total{transport="http"}`)
 	if frames > 0 {
-		c.bytesPerSlot = bytes / (frames / float64(n.lay.Channels()))
+		c.bytesPerSlot = bytes / (frames / float64(n.big.lay.Channels()))
 	}
 	c.drops = delta(`station_net_dropped_batches_total{transport="http"}`)
 	return c, nil
@@ -336,11 +407,11 @@ func (n *netInst) measure(traced bool) (*result, error) {
 	if traced {
 		ptr = newTracer(3, epoch)
 	}
-	src, err := n.source(ptr)
+	src, err := n.q.source(ptr)
 	if err != nil {
 		return nil, err
 	}
-	st, err := n.startStation(src, netRate, nil)
+	st, err := startStation(n.q, src, netRate, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -391,7 +462,7 @@ func (n *netInst) measure(traced bool) (*result, error) {
 		}
 	}()
 
-	side := n.ds.Curve.Side()
+	side := n.q.ds.Curve.Side()
 	dB := e.window() - dA
 	p0 := readProc()
 	_, err = closedLoop(ws, loopConfig{d: dB, limit: 6 * dB, minQueries: netMinQueries}, nil,
@@ -479,9 +550,9 @@ func (n *netInst) measure(traced bool) (*result, error) {
 		if a := ptr.aggs[layerTx]; a != nil {
 			m["station.tx_packetat_calls_per_query"] = float64(a.n) / q
 		}
-		nch := int64(n.lay.Channels())
-		m["station.tx_alloc_bytes_per_packet"] = packetAllocs(n.tx, int(n.hyper*nch),
-			func(i int) (int, int64) { return int(int64(i) % nch), int64(i) / nch })
+		nch := n.big.lay.Channels()
+		m["station.tx_alloc_bytes_per_packet"] = packetAllocs(n.big.tx, netAllocScan,
+			func(i int) (int, int64) { return i % nch, int64(i / nch) })
 		m["netsrv.flush_us_p50"] = capA.flushP50
 		m["netsrv.flush_us_p99"] = capA.flushP99
 		m["netsrv.bytes_per_slot"] = capA.bytesPerSlot
@@ -528,34 +599,38 @@ func maxLag(log []clockSample) int64 {
 // checkAll verifies every network answer: against brute force, and
 // bit for bit — ids, latency, tuning and switches — against an
 // in-process WireReceiver replay at the same tune-in slot over the
-// station's own transmitter. A query whose feed lost slots fails too.
+// station's own transmitter. A query whose feed lost slots fails too,
+// as does one whose replay panics.
 func (n *netInst) checkAll(ws []*worker) (int64, error) {
-	orx, err := station.NewWireReceiver(n.lay, 1, n.tx, 0, nil)
+	orx, err := station.NewWireReceiver(n.q.lay, 1, n.q.tx, 0, nil)
 	if err != nil {
 		return 0, err
 	}
-	sess, err := dsi.Open(n.x, dsi.WithReceiver(orx))
+	sess, err := dsi.Open(n.q.x, dsi.WithReceiver(orx))
 	if err != nil {
 		return 0, err
 	}
-	side := n.ds.Curve.Side()
+	side := n.q.ds.Curve.Side()
 	var bad int64
 	var buf []int
 	for _, wk := range ws {
 		for _, o := range wk.out {
-			if o.panicked {
+			q := genQuery(n.e.seed, o.id, side)
+			var st broadcast.Stats
+			var want uint64
+			if o.panicked || panics(func() {
+				sess.Tune(o.probe, nil)
+				buf, st = q.run(sess, buf[:0])
+				want = bruteKey(n.q.ds, q)
+			}) {
 				bad++
 				continue
 			}
-			q := genQuery(n.e.seed, o.id, side)
-			sess.Tune(o.probe, nil)
-			var st broadcast.Stats
-			buf, st = q.run(sess, buf[:0])
 			same := o.lost == 0 && o.seq == digestInts(buf) &&
 				o.stats.LatencyPackets == st.LatencyPackets &&
 				o.stats.TuningPackets == st.TuningPackets &&
 				o.stats.Switches == st.Switches
-			if !same || o.key != bruteKey(n.ds, q) {
+			if !same || o.key != want {
 				bad++
 			}
 		}

@@ -102,53 +102,63 @@ type loopConfig struct {
 // closedLoop runs one closed-loop client per worker: each takes the
 // next query id, issues it through step and records the outcome only
 // after it completes. Query ids are handed out in order, so when the
-// loop ends every id below the highest taken has completed. With a
-// calibration, each worker samples the machine's speed after every
-// calEvery queries of its own.
+// loop ends every id below the highest taken has completed. It returns
+// the time the workers ran.
+//
+// With a calibration, the loop runs in segments of calPeriod: between
+// two segments every worker has finished its query and returned, and
+// the kernel runs on every processor while no query does, so the
+// program's own load never reaches the kernel. The time the kernel
+// takes counts toward neither the window nor the returned duration.
 func closedLoop(ws []*worker, cfg loopConfig, cal *calibration, step func(w int, wk *worker, id int64) (outcome, error)) (time.Duration, error) {
 	var next, done atomic.Int64
-	start := time.Now()
-	var wg sync.WaitGroup
+	var ran time.Duration // time the workers ran, bursts excluded
 	errs := make([]error, len(ws))
-	for i := range ws {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			wk := ws[i]
-			for {
-				el := time.Since(start)
-				if el >= cfg.d && done.Load() >= cfg.minQueries {
-					return
+	for ran < cfg.d || done.Load() < cfg.minQueries {
+		if ran >= cfg.limit {
+			return 0, fmt.Errorf("benchmark: only %d of %d queries done in %v", done.Load(), cfg.minQueries, cfg.limit)
+		}
+		seg := cfg.limit - ran
+		if cal != nil {
+			cal.burst(calBurst)
+			seg = min(seg, calPeriod)
+		}
+		before := ran
+		start := time.Now()
+		var wg sync.WaitGroup
+		for i := range ws {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				wk := ws[i]
+				for el := time.Since(start); el < seg; el = time.Since(start) {
+					if before+el >= cfg.d && done.Load() >= cfg.minQueries {
+						return
+					}
+					o, err := safeStep(step, i, wk, next.Add(1)-1)
+					if err != nil {
+						errs[i] = err
+						return
+					}
+					wk.out = append(wk.out, o)
+					done.Add(1)
 				}
-				if el >= cfg.limit {
-					errs[i] = fmt.Errorf("benchmark: only %d of %d queries done in %v", done.Load(), cfg.minQueries, cfg.limit)
-					return
-				}
-				o, err := safeStep(step, i, wk, next.Add(1)-1)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				wk.out = append(wk.out, o)
-				done.Add(1)
-				if cal != nil && len(wk.out)%calEvery == 0 {
-					cal.sample()
-				}
+			}(i)
+		}
+		wg.Wait()
+		ran += time.Since(start)
+		for _, err := range errs {
+			if err != nil {
+				return 0, err
 			}
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
 		}
 	}
-	return time.Since(start), nil
+	return ran, nil
 }
 
-// calEvery is how many queries a worker runs between two calibration
-// samples.
-const calEvery = 8
+// calPeriod is how long a calibrated closed loop runs between two
+// kernel bursts.
+const calPeriod = 500 * time.Millisecond
 
 // safeStep runs one query, turning a panic inside the program into a
 // failed outcome so that one bad query does not end the run.
@@ -162,6 +172,19 @@ func safeStep(step func(w int, wk *worker, id int64) (outcome, error), w int, wk
 		}
 	}()
 	return step(w, wk, id)
+}
+
+// panics runs f and reports whether the program panicked inside it, so
+// that a panic in a call the benchmark makes counts as a failed
+// operation instead of ending the run.
+func panics(f func()) (panicked bool) {
+	defer func() {
+		if recover() != nil {
+			panicked = true
+		}
+	}()
+	f()
+	return false
 }
 
 // timedQuery tunes s in at probe under loss and runs q, inside a query
@@ -255,7 +278,8 @@ func checkAll(ds *dataset.Dataset, seed int64, ws []*worker) int64 {
 		go func(wk *worker) {
 			defer wg.Done()
 			for _, o := range wk.out {
-				if o.panicked || o.key != bruteKey(ds, genQuery(seed, o.id, side)) {
+				var want uint64
+				if o.panicked || panics(func() { want = bruteKey(ds, genQuery(seed, o.id, side)) }) || o.key != want {
 					bad.Add(1)
 				}
 			}

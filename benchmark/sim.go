@@ -29,8 +29,8 @@ type simInst struct {
 	arms []*massive.Arm // classic, split, shard
 }
 
-func setupSim(e *env, rep int) (instance, error) {
-	bed, err := massive.NewTestbed(massive.BedConfig{Seed: datasetSeed(rep)})
+func setupSim(e *env, dsSeed int64) (instance, error) {
+	bed, err := massive.NewTestbed(massive.BedConfig{Seed: dsSeed})
 	if err != nil {
 		return nil, err
 	}
@@ -100,6 +100,7 @@ func (s *simInst) measure(traced bool) (*result, error) {
 	}
 	rates := map[string]float64{}
 	var replaySum float64
+	var replayFailed int64
 	replays := make([]*massive.Result, len(s.bed.Arms))
 	for i, arm := range s.bed.Arms {
 		e.cal.burst(calBurst)
@@ -107,10 +108,21 @@ func (s *simInst) measure(traced bool) (*result, error) {
 			rt.begin(layerRep, "massive.Run."+arm.Name)
 		}
 		t := time.Now()
-		replays[i] = massive.Run(s.bed, arm, cfg)
+		// A replay that panics fails every checked client of its arm
+		// and leaves the arm out of the rate.
+		panicked := panics(func() { replays[i] = massive.Run(s.bed, arm, cfg) })
 		dt := time.Since(t)
 		if rt != nil {
-			rt.end()
+			if panicked {
+				rt.abort()
+			} else {
+				rt.end()
+			}
+		}
+		if panicked {
+			replays[i] = nil
+			replayFailed += replayChecked
+			continue
 		}
 		rate := float64(clients) / dt.Seconds()
 		rates[arm.Name] = rate
@@ -122,10 +134,19 @@ func (s *simInst) measure(traced bool) (*result, error) {
 	res := &result{
 		attempted: f.queries + int64(replayChecked*len(s.bed.Arms)),
 		verify: func() (int64, error) {
-			bad := checkAll(s.bed.DS, e.seed, ws)
+			bad := checkAll(s.bed.DS, e.seed, ws) + replayFailed
 			for i, arm := range s.bed.Arms {
 				got := replays[i]
-				ref := massive.RunReference(s.bed, arm, massive.Config{Clients: replayChecked, Seed: e.seed, Workers: e.workers})
+				if got == nil {
+					continue // counted when the replay panicked
+				}
+				var ref *massive.Result
+				if panics(func() {
+					ref = massive.RunReference(s.bed, arm, massive.Config{Clients: replayChecked, Seed: e.seed, Workers: e.workers})
+				}) {
+					bad += replayChecked
+					continue
+				}
 				for c := 0; c < replayChecked; c++ {
 					if got.Lat[c] != ref.Lat[c] || got.Tun[c] != ref.Tun[c] || got.Sw[c] != ref.Sw[c] {
 						bad++

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -126,35 +127,41 @@ func TestNetStackTransparent(t *testing.T) {
 		t.Skip("serves a station on loopback for several seconds")
 	}
 	e := &env{seed: 5, seconds: 2, workers: 2, out: t.TempDir(), cal: &calibration{}}
-	inst, err := setupNet(e, 0)
+	inst, err := setupNet(e, measuredDataset)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := inst.(*netInst)
-	open := func(src station.PacketSource, tr *tracer) *dsi.Session {
-		rx, err := station.NewWireReceiver(n.lay, 1, src, 0, nil)
+	// Both airs: phase A's station serves the big one, phase B's the
+	// small one.
+	for _, a := range []*air{n.big, n.q} {
+		open := func(src station.PacketSource, tr *tracer) *dsi.Session {
+			rx, err := station.NewWireReceiver(a.lay, 1, src, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var drx dsi.Receiver = rx
+			if tr != nil {
+				drx = wrapRx(rx, tr)
+			}
+			s, err := dsi.Open(a.x, dsi.WithReceiver(drx))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		tr := newTracer(0, time.Now())
+		src, err := a.source(tr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var drx dsi.Receiver = rx
-		if tr != nil {
-			drx = wrapRx(rx, tr)
-		}
-		s, err := dsi.Open(n.x, dsi.WithReceiver(drx))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
+		cycle := int64(a.lay.ProbeCycle())
+		probe := func(q query) int64 { return int64(q.u*float64(cycle)) + 3*cycle }
+		side := a.ds.Curve.Side()
+		sameAnswers(t, fmt.Sprintf("net/in-process/%d objects", len(a.ds.Objects)),
+			runQueries(open(a.tx, nil), side, 60, probe, noLoss),
+			runQueries(open(src, tr), side, 60, probe, noLoss))
 	}
-	tr := newTracer(0, time.Now())
-	src, err := n.source(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probe := func(q query) int64 { return int64(q.u*float64(n.hyper)) + 3*n.hyper }
-	side := n.ds.Curve.Side()
-	sameAnswers(t, "net/in-process", runQueries(open(n.tx, nil), side, 60, probe, noLoss),
-		runQueries(open(src, tr), side, 60, probe, noLoss))
 
 	res, err := n.measure(true)
 	if err != nil {
