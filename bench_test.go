@@ -108,7 +108,7 @@ func BenchmarkRealDataset(b *testing.B) {
 }
 
 // BenchmarkAblationSizing compares the default auto frame sizing with
-// the paper's literal one-packet-table sizing (DESIGN.md item 3).
+// the paper's literal one-packet-table sizing (see dsi.Sizing).
 func BenchmarkAblationSizing(b *testing.B) { runFigureBench(b, experiment.AblationSizing) }
 
 // BenchmarkAblationReorgM sweeps the reorganization factor m.

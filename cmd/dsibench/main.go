@@ -1,6 +1,7 @@
 // Command dsibench regenerates the paper's evaluation artifacts: every
-// figure (Fig. 8-12), Table 1, the REAL-dataset comparisons, and the
-// ablations listed in DESIGN.md.
+// figure (Fig. 8-12), Table 1, the REAL-dataset comparisons, and
+// ablations of the index's design parameters (frame sizing,
+// reorganization factor m, index base r; see -list).
 //
 // Usage:
 //

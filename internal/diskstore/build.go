@@ -319,8 +319,10 @@ func (s *StreamSource) object(i int) objRec {
 // CycleSlots returns the broadcast cycle length in packet slots.
 func (s *StreamSource) CycleSlots() int { return s.geo.CycleSlots() }
 
-// PacketAt implements station.PacketSource; the slot arithmetic and
-// payload bytes mirror station.Transmitter exactly.
+// PacketAt implements station.PacketSource. The slot arithmetic
+// follows station.Transmitter's; the object bytes come from the same
+// synthesizer (station.AppendObjectBytes), cached one object at a time
+// because a sequential sweep asks for each object's packets in turn.
 func (s *StreamSource) PacketAt(ch int, abs int64) (station.Packet, uint32) {
 	if ch != 0 {
 		panic(fmt.Sprintf("diskstore: packet request for channel %d of a single-channel stream source", ch))
@@ -357,8 +359,8 @@ func (s *StreamSource) PacketAt(ch int, abs int64) (station.Packet, uint32) {
 	id := first + o
 	if id != s.objIdx {
 		obj := s.object(id)
-		s.objBytes = station.ObjectPayload(
-			wire.ObjectHeader{X: obj.X, Y: obj.Y, HC: obj.HC}, id, s.cfg.ObjectBytes)
+		s.objBytes = station.AppendObjectBytes(nil,
+			wire.ObjectHeader{X: obj.X, Y: obj.Y, HC: obj.HC}, id, s.cfg.ObjectBytes, 0, s.cfg.ObjectBytes)
 		s.objIdx = id
 	}
 	payload := s.objBytes

@@ -388,7 +388,7 @@ func RealDataset(p Params) Result {
 }
 
 // AblationSizing compares the default auto frame sizing with the
-// paper's literal one-packet-table sizing (DESIGN.md item 3).
+// paper's literal one-packet-table sizing (see dsi.Sizing).
 func AblationSizing(p Params) Result {
 	p = p.withDefaults()
 	ds := p.Dataset()
@@ -414,7 +414,7 @@ func AblationSizing(p Params) Result {
 	return Result{Figures: []Figure{lat, tun}}
 }
 
-// AblationReorgM sweeps the reorganization factor m (DESIGN.md).
+// AblationReorgM sweeps the reorganization factor m (dsi.Config.Segments).
 func AblationReorgM(p Params) Result {
 	p = p.withDefaults()
 	ds := p.Dataset()
@@ -440,7 +440,7 @@ func AblationReorgM(p Params) Result {
 	return Result{Tables: []Table{t}}
 }
 
-// AblationIndexBase sweeps the index base r (DESIGN.md).
+// AblationIndexBase sweeps the index base r (dsi.Config.IndexBase).
 func AblationIndexBase(p Params) Result {
 	p = p.withDefaults()
 	ds := p.Dataset()

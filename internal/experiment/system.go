@@ -1,7 +1,7 @@
 // Package experiment reproduces the paper's evaluation: every figure
 // (Fig. 8-12) and table (Table 1) of section 4 and 5, plus the REAL-
-// dataset comparisons reported in the text and the ablations called out
-// in DESIGN.md.
+// dataset comparisons reported in the text and ablations of the index's
+// design parameters (frame sizing, reorganization factor m, index base r).
 //
 // The package wraps the three air-index implementations behind a common
 // System interface, generates seeded workloads, runs them with identical

@@ -93,6 +93,11 @@ type Server struct {
 
 	abs atomic.Int64
 
+	// flushCap is, per channel, the largest batch buffer and bound
+	// count a flush has needed so far: buildFlush presizes the next
+	// flush's buffers from it. Touched only by the pacer goroutine.
+	flushCap []batchCap
+
 	mu    sync.Mutex
 	conns map[*streamConn]struct{}
 
@@ -112,6 +117,9 @@ type slotBatch struct {
 	frames int // data frames in buf
 	ctrl   int // control frames in buf
 }
+
+// batchCap is the capacity a slotBatch is allocated with.
+type batchCap struct{ buf, bounds int }
 
 // flushSet is everything one pacer flush emitted, shared read-only by
 // every subscriber writer.
@@ -144,6 +152,8 @@ func New(cfg Config) (*Server, error) {
 		nch:   nch,
 		ctrl:  cfg.CtrlEvery,
 		conns: make(map[*streamConn]struct{}),
+
+		flushCap: make([]batchCap, nch),
 	}
 	if f, ok := cfg.Source.(station.FECSource); ok {
 		s.fsrc = f
@@ -213,11 +223,15 @@ func (s *Server) Run(ctx context.Context) error {
 
 // buildFlush encodes the next batchSlots slots of every channel,
 // splicing control frames in at the cadence boundaries, and advances
-// the published clock.
+// the published clock. Each channel's buffers are allocated once, at
+// the largest size a flush on that channel has needed, so a warm flush
+// costs O(channels) allocations rather than a chain of regrowths. The
+// set is handed to subscribers and never written again.
 func (s *Server) buildFlush(batchSlots int) flushSet {
 	fs := flushSet{batches: make([]slotBatch, s.nch)}
 	for ch := range fs.batches {
-		fs.batches[ch].ch = ch
+		c := s.flushCap[ch]
+		fs.batches[ch] = slotBatch{ch: ch, buf: make([]byte, 0, c.buf), bounds: make([]int, 0, c.bounds)}
 	}
 	abs := s.abs.Load()
 	for i := 0; i < batchSlots; i++ {
@@ -242,6 +256,10 @@ func (s *Server) buildFlush(batchSlots int) flushSet {
 		}
 		abs++
 		s.abs.Store(abs)
+	}
+	for ch, b := range fs.batches {
+		c := &s.flushCap[ch]
+		c.buf, c.bounds = max(c.buf, len(b.buf)), max(c.bounds, len(b.bounds))
 	}
 	return fs
 }
@@ -321,7 +339,7 @@ func (s *Server) publish(ctx context.Context, fs flushSet) {
 		select {
 		case c.q <- fs:
 		default:
-			s.httpMet.Drops.Inc()
+			s.httpMet.BatchDropped()
 		}
 	}
 	if s.udp != nil {

@@ -112,9 +112,7 @@ func (u *udpEmitter) publish(fs flushSet) {
 	select {
 	case u.q <- fs:
 	default:
-		if m := u.srv.udpMet; m != nil {
-			m.Drops.Inc()
-		}
+		u.srv.udpMet.BatchDropped()
 	}
 }
 

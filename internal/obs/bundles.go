@@ -191,6 +191,14 @@ func (m *NetStationMetrics) BytesEmitted(ch int, n int) {
 	m.Bytes[ch].Add(int64(n))
 }
 
+// BatchDropped counts one batch dropped on a lagging consumer.
+// Nil-safe.
+func (m *NetStationMetrics) BatchDropped() {
+	if m != nil {
+		m.Drops.Inc()
+	}
+}
+
 // SubsetSubscribed counts one subscription that asked for a channel
 // subset rather than the full fan-out. Nil-safe.
 func (m *NetStationMetrics) SubsetSubscribed() {

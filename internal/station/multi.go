@@ -136,17 +136,10 @@ func (t *MultiTransmitter) logicalPacket(ch, slot int) Packet {
 		return p // padding slot of a partial last frame
 	}
 	first, _ := x.FrameObjects(x.PosToFrame(ref.pos))
-	obj := x.DS.Objects[first+ref.obj]
-	payload := objectBytes(wire.ObjectHeader{X: obj.P.X, Y: obj.P.Y, HC: obj.HC},
-		obj.ID, x.Cfg.ObjectBytes)
-	from := ref.part * x.Cfg.Capacity
-	to := min(from+x.Cfg.Capacity, len(payload))
 	if ref.part == 0 {
 		p.Flags = flagObjectStart
 	}
-	if from < len(payload) {
-		p.Payload = payload[from:to]
-	}
+	p.Payload = objectPacket(x, first+ref.obj, ref.part*x.Cfg.Capacity)
 	return p
 }
 

@@ -137,20 +137,10 @@ func (t *Transmitter) logicalPacket(slot int) Packet {
 	if o >= num {
 		return p // padding slot of a partial last frame
 	}
-	obj := x.DS.Objects[first+o]
-	payload := objectBytes(wire.ObjectHeader{X: obj.P.X, Y: obj.P.Y, HC: obj.HC},
-		obj.ID, x.Cfg.ObjectBytes)
-	from := part * x.Cfg.Capacity
-	to := from + x.Cfg.Capacity
-	if to > len(payload) {
-		to = len(payload)
-	}
 	if part == 0 {
 		p.Flags = flagObjectStart
 	}
-	if from < len(payload) {
-		p.Payload = payload[from:to]
-	}
+	p.Payload = objectPacket(x, first+o, part*x.Cfg.Capacity)
 	return p
 }
 
@@ -162,24 +152,66 @@ func (t *Transmitter) Cycle(out chan<- Packet) {
 	close(out)
 }
 
-// ObjectPayload builds the on-air payload of one data object exactly
-// as every transmitter does: wire header + deterministic filler
-// derived from the object ID, padded to size. Exported so the
-// diskstore image pipeline reproduces the byte stream without a
-// transmitter.
-func ObjectPayload(h wire.ObjectHeader, id, size int) []byte {
-	return objectBytes(h, id, size)
+// objectPacket synthesizes the payload of the data packet that starts
+// at byte from of object i: at most one packet's bytes, freshly
+// allocated so the caller owns them (nil past the object's end).
+func objectPacket(x *dsi.Index, i, from int) []byte {
+	obj := &x.DS.Objects[i]
+	return AppendObjectBytes(nil, wire.ObjectHeader{X: obj.P.X, Y: obj.P.Y, HC: obj.HC},
+		obj.ID, x.Cfg.ObjectBytes, from, from+x.Cfg.Capacity)
 }
 
-// objectBytes builds an object payload: wire header + deterministic
-// filler derived from the object ID, padded to size.
-func objectBytes(h wire.ObjectHeader, id, size int) []byte {
-	buf := make([]byte, size)
-	copy(buf, wire.EncodeHeader(h))
-	for at := wire.HeaderSize; at+8 <= size; at += 8 {
-		binary.BigEndian.PutUint64(buf[at:], uint64(id)*0x9e3779b97f4a7c15+uint64(at))
+// AppendObjectBytes appends bytes [from, to) (0 <= from) of one data
+// object's on-air payload to dst and returns the extended slice. The payload is
+// size bytes: the wire header, then deterministic filler derived from
+// the object ID, one big-endian word per 8 bytes past the header (a
+// tail shorter than a word stays zero). The window is clipped to the
+// payload, so a window at or past size appends nothing. Only the bytes
+// of the window are computed: header bytes when from < HeaderSize,
+// otherwise just the filler words overlapping it.
+//
+// This is the one definition of object payload bytes: the transmitters
+// call it with a packet's window, the diskstore image pipeline with the
+// whole object.
+func AppendObjectBytes(dst []byte, h wire.ObjectHeader, id, size, from, to int) []byte {
+	to = min(to, size)
+	if from >= to {
+		return dst
 	}
-	return buf
+	n, m := len(dst), to-from
+	if cap(dst)-n < m {
+		grown := make([]byte, n, max(n+m, 2*cap(dst)))
+		copy(grown, dst)
+		dst = grown
+	}
+	dst = dst[:n+m]
+	out := dst[n:]
+	clear(out) // spare capacity may be stale; a short tail stays zero
+	if from < wire.HeaderSize {
+		var hdr [wire.HeaderSize]byte
+		wire.PutHeader(hdr[:], h)
+		copy(out, hdr[from:min(to, wire.HeaderSize)])
+	}
+	// Filler words start at HeaderSize+8k and exist only whole
+	// (at+8 <= size); begin at the word holding from, which may
+	// straddle the window's start, and end at one straddling its end.
+	at := wire.HeaderSize
+	if from > at {
+		at += (from - at) &^ 7
+	}
+	seed := uint64(id) * 0x9e3779b97f4a7c15
+	for ; at < to && at+8 <= size; at += 8 {
+		v := seed + uint64(at)
+		if at >= from && at+8 <= to {
+			binary.BigEndian.PutUint64(out[at-from:], v)
+			continue
+		}
+		var w [8]byte
+		binary.BigEndian.PutUint64(w[:], v)
+		lo, hi := max(at, from), min(at+8, to)
+		copy(out[lo-from:], w[lo-at:hi-at])
+	}
+	return dst
 }
 
 // FrameInfo is what Scan reconstructs per frame from the raw stream.

@@ -105,10 +105,16 @@ const HeaderSize = broadcast.CoordBytes + broadcast.HCBytes
 // EncodeHeader serializes an object header.
 func EncodeHeader(h ObjectHeader) []byte {
 	buf := make([]byte, HeaderSize)
+	PutHeader(buf, h)
+	return buf
+}
+
+// PutHeader serializes an object header into buf[:HeaderSize] without
+// allocating: the form packet synthesizers use on their hot path.
+func PutHeader(buf []byte, h ObjectHeader) {
 	binary.BigEndian.PutUint64(buf[0:8], uint64(h.X))
 	binary.BigEndian.PutUint64(buf[8:16], uint64(h.Y))
-	putHC(buf[16:], h.HC)
-	return buf
+	putHC(buf[16:HeaderSize], h.HC)
 }
 
 // DecodeHeader parses an object header.
