@@ -13,7 +13,6 @@
 //	dsigen -n 10000 -order 8 -seed 1 > uniform.csv
 //	dsigen -real > real_like.csv
 //	dsigen -n 10000000 -order 11 -emit-image u10m.img -budget 1000000
-//	dsigen -n 100000 -emit-image u.img -sidecars -emit-trees
 package main
 
 import (
@@ -22,11 +21,9 @@ import (
 	"fmt"
 	"os"
 
-	"dsi/internal/bptree"
 	"dsi/internal/dataset"
 	"dsi/internal/diskstore"
 	"dsi/internal/dsi"
-	"dsi/internal/rtree"
 )
 
 func main() {
@@ -41,15 +38,13 @@ func main() {
 		capacity  = flag.Int("capacity", 64, "packet capacity in bytes (with -emit-image)")
 		segments  = flag.Int("segments", 1, "broadcast reorganization factor m (with -emit-image)")
 		objB      = flag.Int("objbytes", 0, "object payload bytes, 0 = index default (with -emit-image)")
-		sidecars  = flag.Bool("sidecars", false, "keep the sorted object/frame sidecar files beside the image")
-		emitTrees = flag.Bool("emit-trees", false, "also bulk-load the B+-tree and R-tree node files from the sidecars (implies -sidecars)")
 	)
 	flag.Parse()
 
 	if *emitImage != "" {
 		if err := buildImage(*emitImage, *n, *order, *seed, *real,
 			dsi.Config{Capacity: *capacity, Segments: *segments, ObjectBytes: *objB},
-			*budget, *sidecars || *emitTrees, *emitTrees); err != nil {
+			*budget); err != nil {
 			fmt.Fprintf(os.Stderr, "dsigen: %v\n", err)
 			os.Exit(1)
 		}
@@ -79,36 +74,16 @@ func main() {
 
 // buildImage runs the streaming build and reports what it wrote. The
 // image is byte-identical to what the in-memory build transmits.
-func buildImage(path string, n int, order uint, seed int64, real bool, cfg dsi.Config, budget int, sidecars, trees bool) error {
+func buildImage(path string, n int, order uint, seed int64, real bool, cfg dsi.Config, budget int) error {
 	ps := diskstore.UniformStream(n, order, seed)
 	if real {
 		ps = diskstore.RealStream(seed)
 	}
-	stats, err := diskstore.BuildImage(path, ps, cfg, diskstore.BuildOptions{
-		Budget: budget, KeepSidecars: sidecars,
-	})
+	stats, err := diskstore.BuildImage(path, ps, cfg, diskstore.BuildOptions{Budget: budget})
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "dsigen: %s: %d objects, %d frames, %d slots/cycle, checksum %#x (%d spilled runs)\n",
 		path, stats.Geo.N, stats.Geo.NF, stats.Geo.CycleSlots(), stats.Checksum, stats.SpilledRuns)
-	if !trees {
-		return nil
-	}
-	if f := bptree.FanoutFor(cfg.Capacity); f > 0 {
-		bpt := path + ".bpt"
-		if err := diskstore.BuildBPTreeFile(bpt, stats.ObjectsPath, f); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "dsigen: %s: B+-tree node file, fanout %d\n", bpt, f)
-	}
-	if f := rtree.FanoutFor(cfg.Capacity); f > 0 {
-		rtr := path + ".rtr"
-		if err := diskstore.BuildRTreeFile(rtr, stats.ObjectsPath, f,
-			diskstore.BuildOptions{Budget: budget}); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "dsigen: %s: R-tree node file, fanout %d\n", rtr, f)
-	}
 	return nil
 }

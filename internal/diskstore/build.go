@@ -79,12 +79,9 @@ type BuildOptions struct {
 	// the sort (16 bytes each); 0 selects DefaultBudget.
 	Budget int
 	// TmpDir hosts the sort spill runs and the object/frame sidecar
-	// files; empty uses the image's directory.
+	// files, which are removed when the build returns; empty uses the
+	// image's directory.
 	TmpDir string
-	// KeepSidecars leaves the sorted object file and the frame minHC
-	// file beside the image as <image>.objects / <image>.frames
-	// instead of deleting them — inputs for disk-backed index builds.
-	KeepSidecars bool
 }
 
 // BuildStats reports what a streaming image build produced.
@@ -92,8 +89,6 @@ type BuildStats struct {
 	Geo         dsi.Geometry
 	Checksum    uint64
 	SpilledRuns int
-	ObjectsPath string // set when KeepSidecars
-	FramesPath  string // set when KeepSidecars
 }
 
 // BuildImage builds the wire-cycle image of the single-channel DSI
@@ -148,14 +143,10 @@ func BuildImage(imgPath string, ps PointStream, cfg dsi.Config, opt BuildOptions
 	}
 	stats.SpilledRuns = sorter.Spilled()
 
-	objPath := imgPath + ".objects"
-	framesPath := imgPath + ".frames"
-	if !opt.KeepSidecars {
-		objPath = filepath.Join(tmp, filepath.Base(imgPath)+".objects.tmp")
-		framesPath = filepath.Join(tmp, filepath.Base(imgPath)+".frames.tmp")
-		defer os.Remove(objPath)
-		defer os.Remove(framesPath)
-	}
+	objPath := filepath.Join(tmp, filepath.Base(imgPath)+".objects.tmp")
+	framesPath := filepath.Join(tmp, filepath.Base(imgPath)+".frames.tmp")
+	defer os.Remove(objPath)
+	defer os.Remove(framesPath)
 	sum, err := spillSorted(st, geo, ps.Order, objPath, framesPath)
 	if err != nil {
 		return stats, err
@@ -181,9 +172,6 @@ func BuildImage(imgPath string, ps PointStream, cfg dsi.Config, opt BuildOptions
 	info := ImageInfo{Capacity: cfg.Capacity, ChanSlots: []int{geo.CycleSlots()}, Meta: meta}
 	if err := WriteImageFile(imgPath, src, info); err != nil {
 		return stats, err
-	}
-	if opt.KeepSidecars {
-		stats.ObjectsPath, stats.FramesPath = objPath, framesPath
 	}
 	return stats, nil
 }

@@ -1,21 +1,20 @@
 // Package diskstore is the out-of-core storage layer: it builds
-// datasets, indexes, and broadcast images whose working set exceeds
-// RAM, holding no more than a configured budget of records in heap at
-// any point of the pipeline.
+// datasets and broadcast images whose working set exceeds RAM, holding
+// no more than a configured budget of records in heap at any point of
+// the pipeline.
 //
 // Three layers compose:
 //
 //   - An external-sort pipeline (Sorter): bounded-memory sorted-run
 //     generation spilling to temp files, plus a k-way merge that
 //     streams the globally sorted record sequence back. It is generic
-//     over fixed-width records, the only record shape the broadcast
-//     pipeline needs (objects, keys, STR items).
-//   - Disk-backed index builds: BuildImage streams a generated dataset
+//     over fixed-width records.
+//   - The streaming build: BuildImage streams a generated dataset
 //     through the sorter into a sorted object file (the HC broadcast
-//     order), from which BuildBPTreeFile and BuildRTreeFile bulk-load
-//     the paper's index baselines without materializing the object
-//     set.
-//   - The wire-cycle image (WriteImage / WriteImageStream / OpenImage):
+//     order) and a per-frame minHC file — temporary sidecars, removed
+//     when the build returns — which a StreamSource replays as the
+//     exact single-channel transmitter byte stream.
+//   - The wire-cycle image (WriteImage / WriteImageFile / OpenImage):
 //     the exact transmitter byte stream of a broadcast, one
 //     fixed-stride record per slot, with a slot-offset footer. A
 //     station mmaps the image and serves PacketAt(ch, abs) as a pure
@@ -26,7 +25,6 @@
 //
 // Every disk-built artifact is regression-enforced bit-identical to
 // its in-memory counterpart: the image matches the transmitter's
-// packets on all layouts (FEC included), the sorted object file
-// matches dataset.Uniform/Clustered, and the tree builds match
-// bptree.Build/rtree.Build.
+// packets on all layouts (FEC included), and the streamed dataset
+// matches dataset.Uniform/Clustered.
 package diskstore

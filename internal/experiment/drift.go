@@ -16,7 +16,7 @@
 //
 // The replay is byte-level end to end: every query decodes the actual
 // packets a station source puts on air through a station.WireReceiver
-// — static stretches over each generation's MultiTransmitter with
+// — static stretches over each generation's Transmitter with
 // per-worker session reuse, and each seam-crossing query over a
 // Rebroadcaster holding exactly that staged swap, so the directory
 // bump (and its fetch cost) is received over the air rather than
@@ -98,7 +98,7 @@ type driftPoint struct {
 type driftSchedule struct {
 	x        *dsi.Index
 	lays     []*dsi.Layout
-	mts      []*station.MultiTransmitter
+	mts      []*station.Transmitter
 	planAt   []int
 	resyncTo []int
 }
@@ -107,7 +107,7 @@ type driftSchedule struct {
 // plan put on air (concurrency-safe read-only sources the replay
 // workers share).
 func (s *driftSchedule) finish() *driftSchedule {
-	s.mts = make([]*station.MultiTransmitter, len(s.lays))
+	s.mts = make([]*station.Transmitter, len(s.lays))
 	for i, lay := range s.lays {
 		mt, err := station.NewMultiTransmitter(lay)
 		if err != nil {

@@ -2,7 +2,7 @@
 // reception, end to end over the wire layer. Both arms run the same
 // sharded layout under the same Gilbert-Elliott loss processes; the
 // Sim arm reads the in-memory simulator (dsi.SimReceiver), the Wire
-// arm decodes the actual packets a station.MultiTransmitter puts on
+// arm decodes the actual packets a station.Transmitter puts on
 // air (station.WireReceiver). Over a static transmitter the two are
 // bit-identical at every loss rate — the regression that closes the
 // seam ROADMAP called out between the simulator and the wire layer.
@@ -133,7 +133,7 @@ func (s *staleWireSystem) KNN(q spatial.Point, k int, probe int64, loss *broadca
 // uniform sharded layout with its static transmitter, and a
 // rebroadcaster that has committed a swap from that layout to the
 // Zipf-trained plan (the stale arm's source).
-func wireLossBed(p Params) (x *dsi.Index, lay0, lay1 *dsi.Layout, mt *station.MultiTransmitter, rb *station.Rebroadcaster) {
+func wireLossBed(p Params) (x *dsi.Index, lay0, lay1 *dsi.Layout, mt *station.Transmitter, rb *station.Rebroadcaster) {
 	ds := p.Dataset()
 	x, err := dsi.Build(ds, dsi.Config{Capacity: 64, ObjectBytes: p.ObjectBytes, ReserveMCPtr: true})
 	if err != nil {

@@ -197,39 +197,16 @@ func buildParity(c *fecChan, cfg wire.FECConfig, capacity int, logical func(log 
 	return out
 }
 
-// NewTransmitterFEC is NewTransmitter with an erasure code: the
-// single-channel stream gains a parity tail after every index table
-// and every object. Packet, Cycle and PacketAt then run in the
-// physical slot domain. The zero config is the plain transmitter.
-func NewTransmitterFEC(x *dsi.Index, cfg wire.FECConfig) (*Transmitter, error) {
-	t, err := NewTransmitter(x)
+// NewMultiTransmitterFEC returns the transmitter of a layout under an
+// erasure code: every channel gains a parity tail after every index
+// table and every object, and Packet and PacketAt run in the physical
+// slot domain. The zero config is the plain transmitter.
+func NewMultiTransmitterFEC(lay *dsi.Layout, cfg wire.FECConfig) (*Transmitter, error) {
+	tables, err := wire.EncodeLayoutTables(lay)
 	if err != nil {
 		return nil, err
 	}
-	if !cfg.Enabled() {
-		return t, nil
-	}
-	g, err := newFECGeom(x.SingleLayout(), cfg)
-	if err != nil {
-		return nil, err
-	}
-	t.fec = g
-	t.parity = buildParity(&g.chs[0], cfg, x.Cfg.Capacity, t.logicalPacket)
-	t.fecDesc, err = wire.EncodeFECDesc(cfg, 1)
-	if err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// NewMultiTransmitterFEC is NewMultiTransmitter with an erasure code
-// over every channel of the layout. The zero config is the plain
-// multi-channel transmitter.
-func NewMultiTransmitterFEC(lay *dsi.Layout, cfg wire.FECConfig) (*MultiTransmitter, error) {
-	t, err := NewMultiTransmitter(lay)
-	if err != nil {
-		return nil, err
-	}
+	t := &Transmitter{Lay: lay, tables: tables}
 	if !cfg.Enabled() {
 		return t, nil
 	}
@@ -240,7 +217,6 @@ func NewMultiTransmitterFEC(lay *dsi.Layout, cfg wire.FECConfig) (*MultiTransmit
 	t.fec = g
 	t.parity = make([][][]byte, lay.Channels())
 	for ch := range t.parity {
-		ch := ch
 		t.parity[ch] = buildParity(&g.chs[ch], cfg, lay.X.Cfg.Capacity,
 			func(log int) Packet { return t.logicalPacket(ch, log) })
 	}

@@ -144,7 +144,7 @@ func TestTransmitterPayloadsMatchReference(t *testing.T) {
 			if o >= num {
 				continue
 			}
-			if got, want := tx.Packet(slot).Payload, refPacket(x, first+o, part); !bytes.Equal(got, want) {
+			if got, want := tx.Packet(0, slot).Payload, refPacket(x, first+o, part); !bytes.Equal(got, want) {
 				t.Fatalf("cfg %+v slot %d: payload %x, want %x", cfg, slot, got, want)
 			}
 			checked++
@@ -162,12 +162,16 @@ func TestTransmitterPayloadsMatchReference(t *testing.T) {
 	}
 	x := lay.X
 	for ch := 0; ch < lay.Channels(); ch++ {
-		for slot, ref := range mt.plan[ch] {
-			if !ref.data || ref.obj < 0 {
+		for slot := 0; slot < lay.ChanLen(ch); slot++ {
+			pos, off, ok := lay.SlotData(ch, slot)
+			if !ok {
 				continue
 			}
-			first, _ := x.FrameObjects(x.PosToFrame(ref.pos))
-			if got, want := mt.Packet(ch, slot).Payload, refPacket(x, first+ref.obj, ref.part); !bytes.Equal(got, want) {
+			first, num := x.FrameObjects(x.PosToFrame(pos))
+			if off/x.ObjPackets >= num {
+				continue
+			}
+			if got, want := mt.Packet(ch, slot).Payload, refPacket(x, first+off/x.ObjPackets, off%x.ObjPackets); !bytes.Equal(got, want) {
 				t.Fatalf("channel %d slot %d: payload %x, want %x", ch, slot, got, want)
 			}
 		}

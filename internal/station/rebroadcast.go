@@ -13,7 +13,7 @@
 // pure function of the old directory plus the announced seam).
 //
 // With no swap staged — or a swap to an identical shard map — the
-// rebroadcaster is packet-for-packet the plain MultiTransmitter, which
+// rebroadcaster is packet-for-packet the plain Transmitter, which
 // is the regression contract the drift experiment's control arm rests
 // on.
 
@@ -50,7 +50,7 @@ type Rebroadcaster struct {
 	// and per-channel packets emitted. Nil counts nothing.
 	met *obs.StationMetrics
 
-	cur     *MultiTransmitter
+	cur     *Transmitter
 	version uint32
 	// phase[ch] is the absolute slot at which channel ch's current
 	// program has cycle phase 0. The initial directory is anchored at
@@ -63,7 +63,7 @@ type Rebroadcaster struct {
 	curDir []byte
 
 	// Staged swap; nil when none is in flight.
-	next *MultiTransmitter
+	next *Transmitter
 	// seam[ch] is channel ch's cutover slot: the first boundary of its
 	// old cycle at or after swapSlot.
 	seam     []int64

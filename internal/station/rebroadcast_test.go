@@ -61,7 +61,7 @@ func TestRebroadcastNoSwapBitIdentical(t *testing.T) {
 	if err != nil || version != 1 || seam != 0 {
 		t.Fatalf("decoded directory v%d seam %d err %v", version, seam, err)
 	}
-	bare, err := tx.Directory()
+	bare, err := wire.EncodeShardDir(lay)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,46 +225,31 @@ func TestRebroadcastTransitionWindow(t *testing.T) {
 		t.Fatalf("new directory decodes to v%d seam %d err %v", version, seam, err)
 	}
 
-	// A stale receiver scans the post-seam streams against the OLD
-	// directory: the geometry contradicts the air and the scan is
-	// rejected rather than silently misassembling tables.
-	collect := func(lay *dsi.Layout) []<-chan Packet {
-		streams := make([]<-chan Packet, lay.Channels())
-		for ch := 0; ch < lay.Channels(); ch++ {
-			s, _ := r.SeamOf(ch)
-			c := make(chan Packet, lay.ChanLen(ch))
-			for i := 0; i < lay.ChanLen(ch); i++ {
-				p, _ := r.PacketAt(ch, s+int64(i))
-				c <- p
-			}
-			close(c)
-			streams[ch] = c
-		}
-		return streams
-	}
-	oldDir, err := oldTx.Directory()
+	// The old directory contradicts the post-seam air's geometry, so a
+	// stale receiver can tell it must fetch the announced one.
+	oldDir, _ := oldTx.DirectoryAt(0)
+	_, _, oldEntries, err := wire.DecodeDirV(oldDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ScanMultiDir(newLay, oldDir, collect(newLay)); err == nil {
-		t.Fatal("stale directory accepted against the new streams")
+	stale := false
+	for ch, e := range oldEntries {
+		stale = stale || int(e.CycleSlots) != newLay.ChanLen(ch)
 	}
-	// Convergence: re-fetch the announced directory and rescan — the
-	// new streams are fully self-describing.
-	frames, err := ScanMultiDir(newLay, bufNew[wire.DirVHeaderSize:], collect(newLay))
+	if !stale {
+		t.Fatal("old directory describes the new air: pick other bounds")
+	}
+	// Convergence: under the announced directory the post-seam streams
+	// are fully self-describing.
+	_, _, newEntries, err := wire.DecodeDirV(bufNew)
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := 0
-	for pos, fi := range frames {
-		if fi.MinHC != x.MinHC(x.PosToFrame(pos)) {
-			t.Fatalf("pos %d: min HC %d", pos, fi.MinHC)
-		}
-		total += len(fi.Headers)
-	}
-	if total != ds.N() {
-		t.Fatalf("%d headers, want %d", total, ds.N())
-	}
+	checkSelfDescribing(t, newLay, wire.FramesOnDir(newEntries), func(ch, slot int) Packet {
+		s, _ := r.SeamOf(ch)
+		p, _ := r.PacketAt(ch, s+int64(slot))
+		return p
+	})
 
 	// After the last seam the swap commits and the new schedule is
 	// simply on air.

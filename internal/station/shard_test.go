@@ -5,6 +5,7 @@ import (
 
 	"dsi/internal/dataset"
 	"dsi/internal/dsi"
+	"dsi/internal/wire"
 )
 
 // TestShardStreamsSelfDescribing: a sharded layout's unequal-cycle
@@ -39,56 +40,22 @@ func TestShardStreamsSelfDescribing(t *testing.T) {
 	}
 	// The receiver takes the per-channel geometry from the broadcast's
 	// own directory: the codec is exercised through the full
-	// transmitter -> scanner pipeline, not just in isolation.
-	dirBytes, err := tx.Directory()
+	// transmitter -> decoder pipeline, not just in isolation.
+	dir, _ := tx.DirectoryAt(0)
+	_, _, entries, err := wire.DecodeDirV(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	streams := make([]<-chan Packet, lay.Channels())
-	for ch := 0; ch < lay.Channels(); ch++ {
-		c := make(chan Packet, 64)
-		go tx.CycleChannel(ch, c)
-		streams[ch] = c
-	}
-	frames, err := ScanMultiDir(lay, dirBytes, streams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for pos, fi := range frames {
-		f := x.PosToFrame(pos)
-		if fi.MinHC != x.MinHC(f) {
-			t.Fatalf("pos %d: min HC %d, want %d", pos, fi.MinHC, x.MinHC(f))
+	for ch, e := range entries {
+		if int(e.CycleSlots) != lay.ChanLen(ch) || int(e.Frames) != lay.FramesOn(ch) {
+			t.Fatalf("directory channel %d geometry (%d frames, %d slots), air has (%d, %d)",
+				ch, e.Frames, e.CycleSlots, lay.FramesOn(ch), lay.ChanLen(ch))
 		}
-		_, num := x.FrameObjects(f)
-		if len(fi.Headers) != num {
-			t.Fatalf("pos %d: %d headers, want %d", pos, len(fi.Headers), num)
-		}
-		for i, e := range fi.Entries {
-			target := x.TableAt(pos).Entries[i]
-			wantCh, wantIdx := lay.DataFrameIndex(target.TargetPos)
-			if int(e.Ch) != wantCh || int(e.Frame) != wantIdx || e.MinHC != target.MinHC {
-				t.Fatalf("pos %d entry %d: %+v, want (%d,%d,%d)", pos, i, e, wantCh, wantIdx, target.MinHC)
-			}
-		}
-		total += len(fi.Headers)
 	}
-	if total != x.DS.N() {
-		t.Fatalf("%d headers total, want %d", total, x.DS.N())
-	}
-
-	// A directory contradicting the air's geometry is rejected.
-	bad := append([]byte(nil), dirBytes...)
-	bad[len(bad)-1] ^= 1 // last channel's cycle length
-	streams2 := []<-chan Packet{}
-	for ch := 0; ch < lay.Channels(); ch++ {
-		c := make(chan Packet, 1)
-		close(c)
-		streams2 = append(streams2, c)
-	}
-	if _, err := ScanMultiDir(lay, bad, streams2); err == nil {
-		t.Fatal("contradictory directory accepted")
-	}
+	checkSelfDescribing(t, lay, wire.FramesOnDir(entries), func(ch, slot int) Packet {
+		p, _ := tx.PacketAt(ch, int64(slot))
+		return p
+	})
 }
 
 // TestStaggeredStripeStreams: phase-staggered stripe channels (frames
@@ -106,23 +73,12 @@ func TestStaggeredStripeStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, s := lay.TablePlace(1); s == 0 {
+		t.Fatal("channel 1 is not staggered: pick another geometry")
+	}
 	tx, err := NewMultiTransmitter(lay)
 	if err != nil {
 		t.Fatal(err)
 	}
-	frames, err := scanAll(t, tx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for pos, fi := range frames {
-		f := x.PosToFrame(pos)
-		if fi.MinHC != x.MinHC(f) {
-			t.Fatalf("pos %d: min HC %d, want %d", pos, fi.MinHC, x.MinHC(f))
-		}
-		total += len(fi.Headers)
-	}
-	if total != x.DS.N() {
-		t.Fatalf("%d headers total, want %d", total, x.DS.N())
-	}
+	checkTransmitter(t, tx)
 }

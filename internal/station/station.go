@@ -4,18 +4,23 @@
 // the station materializes the actual byte stream: every packet of the
 // DSI broadcast cycle with its index-table or object payload encoded by
 // internal/wire, framed with the position header clients use to
-// synchronize.
+// synchronize. One Transmitter serves every channel layout: a
+// single-channel broadcast is the one-channel case of the same frame
+// sequence.
 //
-// The package also provides the receiving side needed to prove the
-// stream is self-describing: Scan rebuilds the complete broadcast
-// metadata (frame boundaries, minimum HC values, object headers) from
-// one cycle of raw packets alone, which is the property all of DSI's
-// client algorithms rest on.
+// The package also provides the receiving side: WireReceiver and
+// FECReceiver decode the raw packets with package wire. That the
+// stream is self-describing — every frame boundary, minimum HC value,
+// pointer and object header recoverable from one cycle of raw packets
+// alone, the property all of DSI's client algorithms rest on — is
+// proven by the WireReceiver bit-identity suites, which run the
+// simulator's queries over the bytes and get the simulator's answers
+// and costs.
 package station
 
 import (
 	"encoding/binary"
-	"fmt"
+	"sync"
 
 	"dsi/internal/dsi"
 	"dsi/internal/obs"
@@ -43,8 +48,8 @@ const (
 )
 
 // Packet is one on-air packet: framing plus payload. Ch identifies the
-// broadcast channel on multi-channel airs; the classic single-channel
-// transmitter always emits channel 0, and Scan rejects anything else.
+// broadcast channel on multi-channel airs; a single-channel broadcast
+// always emits channel 0.
 type Packet struct {
 	Ch      uint8  // broadcast channel
 	Slot    uint32 // per-channel cycle slot
@@ -52,87 +57,106 @@ type Packet struct {
 	Payload []byte // at most Capacity bytes
 }
 
-// Transmitter materializes the byte stream of a DSI broadcast. A
-// transmitter built by NewTransmitterFEC additionally interleaves
-// parity packets and runs in the physical slot domain (see fec.go).
+// Transmitter materializes the per-channel byte streams of a DSI
+// broadcast over any dsi.Layout, the classic single channel included:
+// index tables in the format the layout's receivers decode
+// (wire.EncodeLayoutTables), object payloads on their data channels.
+// Each slot's role is derived from the layout's slot inversions
+// (SlotTable, SlotData), so no per-slot state is kept. A transmitter
+// built with an erasure code additionally interleaves parity packets
+// and runs in the physical slot domain (see fec.go).
 type Transmitter struct {
-	x      *dsi.Index
-	tables [][]byte
+	Lay    *dsi.Layout
+	tables [][]byte // per cycle position
 
+	// Cached DirectoryAt encoding (version 1, anchored at slot 0).
+	dirOnce sync.Once
+	dir     []byte
+
+	// Erasure code (NewMultiTransmitterFEC); nil when uncoded.
 	fec     *fecGeom
-	parity  [][]byte // per physical slot; nil for content slots
+	parity  [][][]byte // per channel, per physical slot; nil for content
 	fecDesc []byte
 
-	// met, when set, counts packets served via PacketAt.
+	// met, when set, counts per-channel packets served via PacketAt.
 	met *obs.StationMetrics
+}
+
+// MultiTransmitter is the former name of Transmitter, kept for callers
+// that still spell it.
+type MultiTransmitter = Transmitter
+
+// NewTransmitter returns the transmitter of the index's classic
+// single-channel broadcast.
+func NewTransmitter(x *dsi.Index) (*Transmitter, error) {
+	return NewMultiTransmitterFEC(x.SingleLayout(), wire.FECConfig{})
+}
+
+// NewTransmitterFEC is NewTransmitter with an erasure code.
+func NewTransmitterFEC(x *dsi.Index, cfg wire.FECConfig) (*Transmitter, error) {
+	return NewMultiTransmitterFEC(x.SingleLayout(), cfg)
+}
+
+// NewMultiTransmitter returns the uncoded transmitter of a layout.
+func NewMultiTransmitter(lay *dsi.Layout) (*Transmitter, error) {
+	return NewMultiTransmitterFEC(lay, wire.FECConfig{})
 }
 
 // SetObs installs the station metric bundle (nil counts nothing).
 func (t *Transmitter) SetObs(m *obs.StationMetrics) { t.met = m }
 
-// NewTransmitter prepares the per-frame table encodings.
-func NewTransmitter(x *dsi.Index) (*Transmitter, error) {
-	tables, err := wire.EncodeFrameTables(x)
-	if err != nil {
-		return nil, err
-	}
-	return &Transmitter{x: x, tables: tables}, nil
-}
+// Packet returns the packet broadcast at the given per-channel cycle
+// slot of channel ch. Object payloads are the wire header followed by
+// deterministic filler (a real deployment would carry the application
+// payload). On a coded transmitter the slot is physical and parity
+// slots carry their encoded parity frames.
+func (t *Transmitter) Packet(ch, slot int) Packet { return t.packet(ch, slot%t.ChanSlots(ch)) }
 
-// Packet returns the packet broadcast at the given cycle slot. Object
-// payloads are the wire header followed by deterministic filler (a real
-// deployment would carry the application payload). On a coded
-// transmitter the slot is physical and parity slots carry their
-// encoded parity frames.
-func (t *Transmitter) Packet(slot int) Packet {
+// packet is Packet for a slot already reduced to the channel's cycle.
+func (t *Transmitter) packet(ch, slot int) Packet {
 	if t.fec == nil {
-		return t.logicalPacket(slot)
+		return t.logicalPacket(ch, slot)
 	}
-	c := &t.fec.chs[0]
-	slot %= c.physLen
-	if par := t.parity[slot]; par != nil {
-		return Packet{Slot: uint32(slot), Flags: flagParity, Payload: par}
+	c := &t.fec.chs[ch]
+	if par := t.parity[ch][slot]; par != nil {
+		return Packet{Ch: uint8(ch), Slot: uint32(slot), Flags: flagParity, Payload: par}
 	}
-	p := t.logicalPacket(int(c.logOf[slot]))
+	p := t.logicalPacket(ch, int(c.logOf[slot]))
 	p.Slot = uint32(slot)
 	return p
 }
 
-// Capacity returns the transmitter's packet capacity in bytes.
-func (t *Transmitter) Capacity() int { return t.x.Cfg.Capacity }
-
-// CycleSlots returns the broadcast cycle length in packet slots —
+// ChanSlots returns channel ch's cycle length in packet slots —
 // physical slots on a coded transmitter.
-func (t *Transmitter) CycleSlots() int {
+func (t *Transmitter) ChanSlots(ch int) int {
 	if t.fec != nil {
-		return t.fec.chs[0].physLen
+		return t.fec.chs[ch].physLen
 	}
-	return t.x.Prog.Len()
+	return t.Lay.ChanLen(ch)
 }
 
-func (t *Transmitter) logicalPacket(slot int) Packet {
-	x := t.x
-	slot %= x.Prog.Len()
-	pos := slot / x.FramePackets
-	within := slot % x.FramePackets
-	p := Packet{Slot: uint32(slot)}
+// CycleSlots returns channel 0's cycle length in packet slots: the
+// whole cycle of a single-channel broadcast.
+func (t *Transmitter) CycleSlots() int { return t.ChanSlots(0) }
 
-	if within < x.TablePackets {
+// logicalPacket returns the content packet at a logical slot of
+// channel ch, 0 <= slot < the channel's logical cycle length.
+func (t *Transmitter) logicalPacket(ch, slot int) Packet {
+	lay := t.Lay
+	x := lay.X
+	p := Packet{Ch: uint8(ch), Slot: uint32(slot)}
+
+	if pos, part, ok := lay.SlotTable(ch, slot); ok {
 		p.Flags = flagIndex
 		tab := t.tables[pos]
-		from := within * x.Cfg.Capacity
+		from := part * x.Cfg.Capacity
 		if from < len(tab) {
-			to := from + x.Cfg.Capacity
-			if to > len(tab) {
-				to = len(tab)
-			}
-			p.Payload = tab[from:to]
+			p.Payload = tab[from:min(from+x.Cfg.Capacity, len(tab))]
 		}
 		return p
 	}
-
-	o := (within - x.TablePackets) / x.ObjPackets
-	part := (within - x.TablePackets) % x.ObjPackets
+	pos, off, _ := lay.SlotData(ch, slot) // every non-table slot carries data
+	o, part := off/x.ObjPackets, off%x.ObjPackets
 	first, num := x.FrameObjects(x.PosToFrame(pos))
 	if o >= num {
 		return p // padding slot of a partial last frame
@@ -144,12 +168,27 @@ func (t *Transmitter) logicalPacket(slot int) Packet {
 	return p
 }
 
-// Cycle streams one full broadcast cycle into the channel and closes it.
-func (t *Transmitter) Cycle(out chan<- Packet) {
-	for slot := 0; slot < t.CycleSlots(); slot++ {
-		out <- t.Packet(slot)
-	}
-	close(out)
+// PacketAt implements PacketSource: a static transmitter serves one
+// schedule forever, anchored at slot 0 as directory version 1.
+func (t *Transmitter) PacketAt(ch int, abs int64) (Packet, uint32) {
+	t.met.PacketEmitted(ch)
+	return t.packet(ch, int(abs%int64(t.ChanSlots(ch)))), 1
+}
+
+// FECDescAt implements FECSource: the transmitter's code encoded as
+// version 1, nil for an uncoded broadcast.
+func (t *Transmitter) FECDescAt(int64) ([]byte, uint32) { return t.fecDesc, 1 }
+
+// DirectoryAt implements PacketSource: the layout's directory encoded
+// as version 1 anchored at slot 0, nil for layouts without one (single
+// channel, stripe); the encoding is cached after the first call.
+func (t *Transmitter) DirectoryAt(int64) ([]byte, uint32) {
+	t.dirOnce.Do(func() {
+		if dir, err := wire.EncodeDirV(t.Lay, 1, 0); err == nil {
+			t.dir = dir
+		}
+	})
+	return t.dir, 1
 }
 
 // objectPacket synthesizes the payload of the data packet that starts
@@ -212,73 +251,4 @@ func AppendObjectBytes(dst []byte, h wire.ObjectHeader, id, size, from, to int) 
 		copy(out[lo-from:], w[lo-at:hi-at])
 	}
 	return dst
-}
-
-// FrameInfo is what Scan reconstructs per frame from the raw stream.
-type FrameInfo struct {
-	Pos     int
-	MinHC   uint64
-	Headers []wire.ObjectHeader
-}
-
-// Scan consumes one cycle of packets and reconstructs the broadcast
-// metadata: per-position index tables (validated) and every object
-// header. It fails on any inconsistency between the stream and the
-// catalog geometry (capacity, frame packets) — the checks a receiver
-// would apply.
-func Scan(x *dsi.Index, in <-chan Packet) ([]FrameInfo, error) {
-	frames := make([]FrameInfo, 0, x.NF)
-	var cur *FrameInfo
-	var tableBuf []byte
-	expect := 0
-
-	for p := range in {
-		if p.Ch != 0 {
-			return nil, fmt.Errorf("station: packet on channel %d in a single-channel scan", p.Ch)
-		}
-		if int(p.Slot) != expect {
-			return nil, fmt.Errorf("station: slot %d arrived, want %d", p.Slot, expect)
-		}
-		expect++
-		if len(p.Payload) > x.Cfg.Capacity {
-			return nil, fmt.Errorf("station: slot %d payload %dB exceeds capacity", p.Slot, len(p.Payload))
-		}
-		slot := int(p.Slot)
-		pos := slot / x.FramePackets
-		within := slot % x.FramePackets
-
-		if within == 0 {
-			frames = append(frames, FrameInfo{Pos: pos})
-			cur = &frames[len(frames)-1]
-			tableBuf = tableBuf[:0]
-		}
-		switch {
-		case within < x.TablePackets:
-			if p.Flags&flagIndex == 0 {
-				return nil, fmt.Errorf("station: slot %d: table packet not flagged", p.Slot)
-			}
-			tableBuf = append(tableBuf, p.Payload...)
-			if within == x.TablePackets-1 {
-				if want := x.TableBytes(); len(tableBuf) < want {
-					return nil, fmt.Errorf("station: position %d: table truncated to %dB, want %dB",
-						pos, len(tableBuf), want)
-				}
-				tab, err := wire.DecodeTable(tableBuf[:x.TableBytes()], pos, x.NF)
-				if err != nil {
-					return nil, fmt.Errorf("station: position %d: %w", pos, err)
-				}
-				cur.MinHC = tab.OwnHC
-			}
-		case p.Flags&flagObjectStart != 0:
-			h, err := wire.DecodeHeader(p.Payload)
-			if err != nil {
-				return nil, fmt.Errorf("station: slot %d: %w", p.Slot, err)
-			}
-			cur.Headers = append(cur.Headers, h)
-		}
-	}
-	if len(frames) != x.NF {
-		return nil, fmt.Errorf("station: scanned %d frames, want %d", len(frames), x.NF)
-	}
-	return frames, nil
 }

@@ -34,7 +34,7 @@ import (
 // receiver: the packet each channel transmits at an absolute slot,
 // tagged with the directory version governing it, and the versioned
 // shard directory on air. Rebroadcaster implements it directly;
-// MultiTransmitter and Transmitter are static single-version sources.
+// Transmitter is a static single-version source.
 type PacketSource interface {
 	// PacketAt returns the packet channel ch transmits at absolute
 	// slot abs and the directory version its encoding belongs to.
@@ -43,47 +43,6 @@ type PacketSource interface {
 	// (nil when the broadcast ships none, e.g. single-channel layouts).
 	DirectoryAt(abs int64) ([]byte, uint32)
 }
-
-// PacketAt implements PacketSource: a static transmitter serves one
-// schedule forever, anchored at slot 0 as directory version 1.
-func (t *MultiTransmitter) PacketAt(ch int, abs int64) (Packet, uint32) {
-	t.met.PacketEmitted(ch)
-	return t.Packet(ch, int(abs%int64(t.ChanSlots(ch)))), 1
-}
-
-// FECDescAt implements FECSource: the transmitter's code encoded as
-// version 1, nil for an uncoded broadcast.
-func (t *MultiTransmitter) FECDescAt(int64) ([]byte, uint32) { return t.fecDesc, 1 }
-
-// DirectoryAt implements PacketSource: the layout's directory encoded
-// as version 1 anchored at slot 0, nil for layouts without one (the
-// encoding is cached after the first call).
-func (t *MultiTransmitter) DirectoryAt(int64) ([]byte, uint32) {
-	t.dirOnce.Do(func() {
-		if dir, err := wire.EncodeDirV(t.Lay, 1, 0); err == nil {
-			t.dir = dir
-		}
-	})
-	return t.dir, 1
-}
-
-// PacketAt implements PacketSource for the classic single-channel
-// transmitter.
-func (t *Transmitter) PacketAt(ch int, abs int64) (Packet, uint32) {
-	if ch != 0 {
-		panic(fmt.Sprintf("station: packet request for channel %d of a single-channel transmitter", ch))
-	}
-	t.met.PacketEmitted(0)
-	return t.Packet(int(abs % int64(t.CycleSlots()))), 1
-}
-
-// DirectoryAt implements PacketSource: a single-channel broadcast
-// ships no shard directory.
-func (t *Transmitter) DirectoryAt(int64) ([]byte, uint32) { return nil, 1 }
-
-// FECDescAt implements FECSource: the transmitter's code encoded as
-// version 1, nil for an uncoded broadcast.
-func (t *Transmitter) FECDescAt(int64) ([]byte, uint32) { return t.fecDesc, 1 }
 
 // WireReceiver implements dsi.Receiver over a PacketSource. It is
 // constructed with the layout (and directory version) the client knows

@@ -8,6 +8,7 @@ import (
 	"dsi/internal/dataset"
 	"dsi/internal/dsi"
 	"dsi/internal/spatial"
+	"dsi/internal/wire"
 )
 
 // wireTestBed builds a sharded broadcast whose tables carry
@@ -145,6 +146,88 @@ func TestWireReceiverSingleChannelBitIdentical(t *testing.T) {
 		gotIDs, gotSt := wireSess.Window(w)
 		if !equalIDs(gotIDs, wantIDs) || gotSt != wantSt {
 			t.Fatalf("trial %d: wire (%v,%+v) != sim (%v,%+v)", trial, gotIDs, gotSt, wantIDs, wantSt)
+		}
+	}
+}
+
+// TestSingleLayoutStationBitIdenticalToSim is the regression for the
+// single-channel station: dsistation -sched single serves
+// NewMultiTransmitter(FEC)(x.SingleLayout()), and its network clients
+// decode that stream as a one-channel layout. Window and kNN queries
+// through WireReceiver (plain, with and without loss) and FECReceiver
+// (Reed-Solomon) must return the simulator's ids at the simulator's
+// tuning cost and latency — on a coded air the simulator's logical
+// clock carried onto the physical one, whose parity slots a query
+// dozes across. The unit-factor sizing at capacity 32 fills its table
+// packets so tightly that only the classic table format fits.
+func TestSingleLayoutStationBitIdenticalToSim(t *testing.T) {
+	ds := dataset.Uniform(220, 7, 11)
+	side := int(ds.Curve.Side())
+	for _, cfg := range []dsi.Config{{Capacity: 64}, {Capacity: 32, Sizing: dsi.SizingUnitFactor}} {
+		x, err := dsi.Build(ds, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lay := x.SingleLayout()
+		for _, code := range []wire.FECConfig{{}, rsCode()} {
+			tx, err := NewMultiTransmitterFEC(lay, code)
+			if err != nil {
+				t.Fatalf("cfg %+v code %+v: %v", cfg, code, err)
+			}
+			geo, err := CodedGeometry(lay, code)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := geo[0]
+			phys := func(abs int64) int64 {
+				l := int64(len(c.Log2Phys))
+				return abs/l*int64(c.PhysLen) + int64(c.Log2Phys[abs%l])
+			}
+			rng := rand.New(rand.NewSource(6))
+			for trial := 0; trial < 12; trial++ {
+				probe := rng.Int63n(int64(x.Prog.Len()))
+				seed := rng.Int63()
+				mkLoss := func() *broadcast.LossModel {
+					if code.Enabled() || trial%4 < 2 {
+						return nil
+					}
+					return broadcast.NewLossModel(0.4, seed)
+				}
+				var rx dsi.Receiver
+				if code.Enabled() {
+					rx, err = NewFECReceiver(lay, 1, tx, code, phys(probe), nil)
+				} else {
+					rx, err = NewWireReceiver(lay, 1, tx, probe, mkLoss())
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				sess, err := dsi.Open(x, dsi.WithReceiver(rx))
+				if err != nil {
+					t.Fatal(err)
+				}
+				sim, err := dsi.Open(x, dsi.WithReceiver(dsi.NewSimReceiver(lay, probe, mkLoss())))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var gotIDs, wantIDs []int
+				var got, want broadcast.Stats
+				if trial%2 == 0 {
+					w := spatial.ClampedWindow(uint32(rng.Intn(side)), uint32(rng.Intn(side)), 35, ds.Curve.Side())
+					wantIDs, want = sim.Window(w)
+					gotIDs, got = sess.Window(w)
+				} else {
+					q := spatial.Point{X: uint32(rng.Intn(side)), Y: uint32(rng.Intn(side))}
+					wantIDs, want = sim.KNN(q, 5, dsi.Conservative)
+					gotIDs, got = sess.KNN(q, 5, dsi.Conservative)
+				}
+				wantLat := phys(probe+want.LatencyPackets-1) + 1 - phys(probe)
+				if !equalIDs(gotIDs, wantIDs) || got.TuningPackets != want.TuningPackets ||
+					got.LatencyPackets != wantLat || got.Switches != want.Switches {
+					t.Fatalf("cfg %+v code %+v trial %d: station (%v,%+v) != sim (%v,%+v, latency %d on air)",
+						cfg, code, trial, gotIDs, got, wantIDs, want, wantLat)
+				}
+			}
 		}
 	}
 }

@@ -213,20 +213,25 @@ func DecodeTableMC(buf []byte, framesOn []int) (ownHC uint64, entries []MCEntry,
 	return ownHC, entries, nil
 }
 
-// EncodeLayoutTables materializes every multi-channel index table of a
-// layout, verifying that each fits the frame sizing's packet budget
-// (the wider pointers must still leave the table within its packets —
-// checked here, exactly as EncodeFrameTables checks the single-channel
-// format).
+// EncodeLayoutTables materializes every index table of a layout in the
+// format its receivers decode: the classic format (EncodeFrameTables)
+// on a one-channel layout, the multi-channel format, whose pointers
+// carry channel ids, otherwise. This is the one place that choice is
+// made; transmitters serve whatever it returns. Each table is checked
+// against the frame sizing's packet budget.
 //
 // dsi.Build sizes TablePackets for the single-channel entry width, so
 // an index whose tables fill their packets to within E bytes of the
-// budget cannot carry the 1-byte-wider multi-channel pointers; this
-// function then fails rather than overflow. Re-sizing frames for wide
-// pointers at Build would change the N=1 broadcast (which must stay
-// bit-identical to the classic engine), so such layouts are rejected
-// at transmission time instead — see ROADMAP for the sizing follow-up.
+// budget cannot carry the 1-byte-wider multi-channel pointers; a
+// multi-channel layout of it then fails here rather than overflow.
+// Re-sizing frames for wide pointers at Build would change the N=1
+// broadcast (which must stay bit-identical to the classic engine), so
+// such layouts are rejected at transmission time instead unless the
+// index reserved the width (dsi.Config.ReserveMCPtr).
 func EncodeLayoutTables(lay *dsi.Layout) ([][]byte, error) {
+	if lay.Channels() == 1 {
+		return EncodeFrameTables(lay.X)
+	}
 	x := lay.X
 	out := make([][]byte, x.NF)
 	budget := x.TablePackets * x.Cfg.Capacity
